@@ -155,6 +155,11 @@ fn bench_metro(c: &mut Criterion) {
         per(fp_full.payload_bytes, &fp_full)
     );
     println!(
+        "metro:   hnsw graph            {:>8}  {:>8}",
+        per(fp_tier.graph_bytes, &fp_tier),
+        per(fp_full.graph_bytes, &fp_full)
+    );
+    println!(
         "metro:   resident              {:>8}  {:>8}",
         fp_tier.resident_bytes_per_point(),
         fp_full.resident_bytes_per_point()

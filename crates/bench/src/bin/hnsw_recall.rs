@@ -3,8 +3,11 @@
 //!
 //! Prints recall@10 vs the `ef` search beam and vs the `M` link budget,
 //! against exact (flat) search, on POI embeddings from the generated
-//! Nashville dataset. Run with
-//! `cargo run -p bench --release --bin hnsw_recall`.
+//! Nashville dataset. The ef table is printed for three builds of the
+//! graph — one point at a time, and the deterministic batch build on 1
+//! and on 2 threads (the last two are the same graph) — each with its
+//! build time, which attributes the parallel share of the build speedup.
+//! Run with `cargo run -p bench --release --bin hnsw_recall`.
 
 use std::time::Instant;
 
@@ -37,22 +40,33 @@ fn main() {
     }
     let truths: Vec<Vec<(usize, f32)>> = queries.iter().map(|q| flat.search(q, 10, None)).collect();
 
-    println!("\n--- recall@10 vs ef (M = 16) ---");
-    println!("{:<8}{:>12}{:>16}", "ef", "recall@10", "mean query us");
     let inv: Vec<f32> = vectors.iter().map(|v| vecdb::inv_norm(v)).collect();
-    let mut idx = HnswIndex::new(Distance::Cosine, HnswConfig::default());
-    for i in 0..vectors.len() {
-        idx.insert(i, &vectors, &inv);
-    }
-    for ef in [10usize, 20, 40, 80, 160, 320] {
-        let mut r = 0.0;
+    let n = vectors.len();
+    let builds: [(&str, Option<usize>); 3] = [
+        ("sequential", None),
+        ("batch, 1 thread", Some(1)),
+        ("batch, 2 threads", Some(2)),
+    ];
+    for (name, threads) in builds {
         let t0 = Instant::now();
-        for (q, truth) in queries.iter().zip(&truths) {
-            let got = idx.search(q, 10, ef, &vectors, &inv, None);
-            r += recall(&got, truth);
+        let mut idx = HnswIndex::new(Distance::Cosine, HnswConfig::default());
+        match threads {
+            None => (0..n).for_each(|i| idx.insert(i, &vectors, &inv)),
+            Some(t) => idx.insert_batch(0..n, &vectors, &inv, t),
         }
-        let us = t0.elapsed().as_micros() as f64 / queries.len() as f64;
-        println!("{ef:<8}{:>12.3}{:>16.1}", r / queries.len() as f64, us);
+        let build_s = t0.elapsed().as_secs_f64();
+        println!("\n--- recall@10 vs ef (M = 16), {name} build: {build_s:.2} s ---");
+        println!("{:<8}{:>12}{:>16}", "ef", "recall@10", "mean query us");
+        for ef in [10usize, 20, 40, 64, 80, 160, 320] {
+            let mut r = 0.0;
+            let t0 = Instant::now();
+            for (q, truth) in queries.iter().zip(&truths) {
+                let got = idx.search(q, 10, ef, &vectors, &inv, None);
+                r += recall(&got, truth);
+            }
+            let us = t0.elapsed().as_micros() as f64 / queries.len() as f64;
+            println!("{ef:<8}{:>12.3}{:>16.1}", r / queries.len() as f64, us);
+        }
     }
 
     println!("\n--- recall@10 vs M (ef = 64) ---");
@@ -66,9 +80,7 @@ fn main() {
                 ..HnswConfig::default()
             },
         );
-        for i in 0..vectors.len() {
-            idx.insert(i, &vectors, &inv);
-        }
+        idx.insert_batch(0..n, &vectors, &inv, 2);
         let mut r = 0.0;
         for (q, truth) in queries.iter().zip(&truths) {
             let got = idx.search(q, 10, 64, &vectors, &inv, None);

@@ -286,6 +286,7 @@ pub fn load_prepared(dir: &Path, config: &SemaSkConfig) -> Result<PreparedCity, 
     let key = manifest["city_key"].as_str().unwrap_or_default().to_owned();
     let city = *datagen::CITIES
         .iter()
+        .chain([&datagen::METRO])
         .find(|c| c.key == key)
         .ok_or(PersistError::UnknownCity { key: key.clone() })?;
     let collection_name = manifest["collection_name"]

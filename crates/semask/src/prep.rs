@@ -250,8 +250,9 @@ pub fn prepare_city_with_threads(
             ..CollectionConfig::new(embedder.dim())
         },
     )?;
-    // Embedding vectors computed in parallel; HNSW insertion stays
-    // sequential (it is the index's mutation path).
+    // Embedding vectors computed in parallel, then the HNSW graph built
+    // in deterministic batches on the same thread count (the graph is
+    // identical for every `threads` value).
     let mut vectors: Vec<Option<Vec<f32>>> = vec![None; n];
     crossbeam::thread::scope(|scope| {
         for (w, slot_chunk) in vectors.chunks_mut(chunk).enumerate() {
@@ -267,9 +268,10 @@ pub fn prepare_city_with_threads(
         }
     })
     .expect("embed scope panicked");
-    {
-        let mut collection = handle.write();
-        for (obj, vector) in dataset.iter().zip(vectors) {
+    let points: Vec<(u64, Vec<f32>, Payload)> = dataset
+        .iter()
+        .zip(vectors)
+        .map(|(obj, vector)| {
             let mut pairs = vec![
                 ("lat", json!(obj.location.lat)),
                 ("lon", json!(obj.location.lon)),
@@ -283,14 +285,14 @@ pub fn prepare_city_with_threads(
                     pairs.push(("tip_summary", json!(summary)));
                 }
             }
-            let payload = Payload::from_pairs(&pairs);
-            collection.insert(
+            (
                 u64::from(obj.id.0),
                 vector.expect("every vector computed"),
-                payload,
-            )?;
-        }
-    }
+                Payload::from_pairs(&pairs),
+            )
+        })
+        .collect();
+    handle.write().insert_batch(points, threads)?;
 
     let dataset = Arc::new(dataset);
     let planner = QueryPlanner::for_city(Arc::clone(&dataset), handle, config.planner);

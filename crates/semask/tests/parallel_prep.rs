@@ -1,7 +1,10 @@
-//! Parallel preparation must be bit-identical to sequential preparation.
+//! Parallel preparation must be bit-identical to sequential preparation,
+//! down to the HNSW graph, at any thread count.
 
+use embed::Embedder;
 use llm::SimLlm;
 use semask::prep::prepare_city_with_threads;
+use semask::retrieval::RetrievalStrategy;
 use semask::{prepare_city, SemaSkConfig, SemaSkEngine, SemaSkQuery, Variant};
 use std::sync::Arc;
 
@@ -31,6 +34,55 @@ fn parallel_prep_matches_sequential() {
         assert_eq!(
             ca.vector(u64::from(obj.id.0)).unwrap(),
             cb.vector(u64::from(obj.id.0)).unwrap()
+        );
+    }
+}
+
+/// Forced filtered-HNSW answers, as `(id, score bits)` per query.
+type Answers = Vec<Vec<(u64, u32)>>;
+
+#[test]
+fn parallel_prep_builds_the_same_graph_at_any_thread_count() {
+    // 400 POIs: the batch build inserts up to 7 points per batch from
+    // 350 nodes on, so multi-point batches are exercised.
+    let data = datagen::poi::generate_city(&datagen::CITIES[2], 400, 5);
+    let config = SemaSkConfig::default();
+    let range = geotext::BoundingBox::from_center_km(data.city.center(), 30.0, 30.0);
+    let texts = [
+        "live music and cheap drinks",
+        "family brunch",
+        "vegan tacos",
+    ];
+    let build = |threads: usize| -> (String, Answers) {
+        let llm = SimLlm::new();
+        let p = prepare_city_with_threads(&data, &llm, &config, threads).expect("prep");
+        let handle = p.db.collection(&p.collection_name).unwrap();
+        let json = serde_json::to_string(&*handle.read()).unwrap();
+        let answers = texts
+            .iter()
+            .map(|t| {
+                let qv = p.embedder.embed(t);
+                p.planner
+                    .retrieve_with(RetrievalStrategy::FilteredHnsw, &qv, &range, 10, Some(32))
+                    .expect("forced HNSW")
+                    .hits
+                    .iter()
+                    .map(|h| (h.id, h.score.to_bits()))
+                    .collect()
+            })
+            .collect();
+        (json, answers)
+    };
+    let (json, answers) = build(1);
+    for threads in [2, 4] {
+        let (other_json, other_answers) = build(threads);
+        assert!(
+            json == other_json,
+            "serialized collection differs at {threads} threads"
+        );
+        assert_eq!(
+            answers, other_answers,
+            "HNSW answers differ at {threads} threads"
         );
     }
 }

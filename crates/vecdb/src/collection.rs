@@ -75,6 +75,10 @@ pub struct MemoryFootprint {
     pub id_index_bytes: usize,
     /// Payload storage (skeletons + text tier).
     pub payload_bytes: usize,
+    /// The HNSW graph: links plus their cached distances. Counted in
+    /// [`MemoryFootprint::total_bytes`] only — the scoring paths the
+    /// resident figure gates do not walk it.
+    pub graph_bytes: usize,
 }
 
 impl MemoryFootprint {
@@ -94,12 +98,16 @@ impl MemoryFootprint {
     }
 
     /// Everything, including the full-precision rerank store when the
-    /// quantized tier is active. The rerank store currently stays in
-    /// RAM (spilling it is a roadmap item), so this is the honest
-    /// process-size figure.
+    /// quantized tier is active and the HNSW graph. The rerank store
+    /// currently stays in RAM (spilling it is a roadmap item), so this
+    /// is the honest process-size figure.
     #[must_use]
     pub fn total_bytes(&self) -> usize {
-        self.vector_bytes + self.quant_bytes + self.id_index_bytes + self.payload_bytes
+        self.vector_bytes
+            + self.quant_bytes
+            + self.id_index_bytes
+            + self.payload_bytes
+            + self.graph_bytes
     }
 
     /// [`MemoryFootprint::resident_bytes`] per stored point.
@@ -327,55 +335,86 @@ impl Collection {
 
     /// Inserts a point. Live ids must be unique; to change a point,
     /// delete it and insert the id again (the HNSW graph itself is
-    /// append-only).
+    /// append-only). The one-point case of [`Collection::insert_batch`].
     pub fn insert(
         &mut self,
         id: PointId,
         vector: Vec<f32>,
         payload: Payload,
     ) -> Result<(), VecDbError> {
-        if vector.len() != self.config.dim {
-            return Err(VecDbError::DimensionMismatch {
-                expected: self.config.dim,
-                found: vector.len(),
-            });
+        self.insert_batch(vec![(id, vector, payload)], 1)
+    }
+
+    /// Inserts many points at once, building their HNSW links on up to
+    /// `threads` threads (see [`HnswIndex::insert_batch`]: the graph is
+    /// the same for every `threads` value). Every point is validated
+    /// before any is stored, so a rejected batch leaves the collection
+    /// unchanged.
+    pub fn insert_batch(
+        &mut self,
+        points: Vec<(PointId, Vec<f32>, Payload)>,
+        threads: usize,
+    ) -> Result<(), VecDbError> {
+        let mut batch_ids = std::collections::HashSet::with_capacity(points.len());
+        for (id, vector, _) in &points {
+            if vector.len() != self.config.dim {
+                return Err(VecDbError::DimensionMismatch {
+                    expected: self.config.dim,
+                    found: vector.len(),
+                });
+            }
+            if vector.iter().any(|x| !x.is_finite()) {
+                return Err(VecDbError::NonFiniteVector);
+            }
+            if self.by_id.contains_key(*id) || !batch_ids.insert(*id) {
+                return Err(VecDbError::PointExists { id: *id });
+            }
         }
-        if vector.iter().any(|x| !x.is_finite()) {
-            return Err(VecDbError::NonFiniteVector);
+        let start = self.vectors.len();
+        for (id, vector, payload) in points {
+            self.by_id.insert(id, self.vectors.len());
+            self.ids.push(id);
+            self.inv_norms.push(inv_norm(&vector));
+            self.vectors.push(vector);
+            self.payloads.push(payload);
+            self.deleted.push(false);
+            self.live += 1;
         }
-        if self.by_id.contains_key(id) {
-            return Err(VecDbError::PointExists { id });
+        let end = self.vectors.len();
+        self.hnsw
+            .insert_batch(start..end, &self.vectors, &self.inv_norms, threads);
+        // Replay the per-point codebook schedule, exactly as if the
+        // points had arrived one at a time.
+        for n in start + 1..=end {
+            self.maintain_quant(n);
         }
-        let offset = self.vectors.len();
-        self.ids.push(id);
-        self.inv_norms.push(inv_norm(&vector));
-        self.vectors.push(vector);
-        self.payloads.push(payload);
-        self.deleted.push(false);
-        self.live += 1;
-        self.by_id.insert(id, offset);
-        self.hnsw.insert(offset, &self.vectors, &self.inv_norms);
-        self.maintain_quant();
         Ok(())
     }
 
-    /// Keeps the quantized tier in sync with the vector store: trains
-    /// the codebook once the tier's activation threshold is reached,
-    /// appends with the frozen codebook in between, and re-encodes
-    /// everything when the collection has doubled since training (so
-    /// the global codebook tracks the value range as data grows).
-    fn maintain_quant(&mut self) {
+    /// Restores state that snapshots do not carry (the HNSW link
+    /// distances), in one pass; called after deserialization.
+    pub(crate) fn rebuild_derived(&mut self) {
+        self.hnsw
+            .rebuild_link_distances(&self.vectors, &self.inv_norms);
+    }
+
+    /// Keeps the quantized tier in sync with the first `n` stored
+    /// vectors, as of the arrival of vector `n - 1`: trains the codebook
+    /// once the tier's activation threshold is reached, appends with the
+    /// frozen codebook in between, and re-encodes everything when the
+    /// collection has doubled since training (so the global codebook
+    /// tracks the value range as data grows).
+    fn maintain_quant(&mut self, n: usize) {
         let activate_at = match self.config.scoring_tier {
             ScoringTier::Full => return,
             ScoringTier::Quantized { .. } => QUANT_MIN_POINTS,
             ScoringTier::Auto => AUTO_QUANT_THRESHOLD,
         };
-        let n = self.vectors.len();
         if n < activate_at {
             return;
         }
         if self.quant.is_none() || n >= self.quant_trained_at.saturating_mul(2) {
-            self.quant = Some(QuantizedVectors::encode(&self.vectors));
+            self.quant = Some(QuantizedVectors::encode(&self.vectors[..n]));
             self.quant_trained_at = n;
         } else if let Some(q) = &mut self.quant {
             q.push(&self.vectors[n - 1]);
@@ -459,6 +498,7 @@ impl Collection {
                 .map_or(0, |q| q.memory_bytes() + q.len() * 4),
             id_index_bytes: self.by_id.memory_bytes(),
             payload_bytes: self.payloads.memory_bytes(),
+            graph_bytes: self.hnsw.memory_bytes(),
         }
     }
 
@@ -1060,6 +1100,44 @@ mod tests {
         let mut c = Collection::new(CollectionConfig::new(2));
         c.insert(7, vec![1.0, 0.0], Payload::new()).unwrap();
         assert!(c.insert(7, vec![0.0, 1.0], Payload::new()).is_err());
+    }
+
+    #[test]
+    fn insert_batch_validates_every_point_first() {
+        let mut c = collection_with_points(3);
+        let before = c.memory_footprint();
+        for bad in [
+            vec![
+                (10, unit(0.1), Payload::new()),
+                (10, unit(0.2), Payload::new()),
+            ],
+            vec![
+                (11, unit(0.1), Payload::new()),
+                (2, unit(0.2), Payload::new()),
+            ],
+            vec![
+                (12, unit(0.1), Payload::new()),
+                (13, vec![1.0; 3], Payload::new()),
+            ],
+            vec![
+                (14, unit(0.1), Payload::new()),
+                (15, vec![f32::NAN, 0.0], Payload::new()),
+            ],
+        ] {
+            assert!(c.insert_batch(bad, 2).is_err());
+            assert_eq!(
+                c.memory_footprint(),
+                before,
+                "rejected batch stored something"
+            );
+        }
+        let good: Vec<_> = (10..200u64)
+            .map(|i| (i, unit(i as f32 * 0.01), Payload::new()))
+            .collect();
+        c.insert_batch(good, 2).unwrap();
+        assert_eq!(c.len(), 193);
+        let r = c.search(&unit(1.5), &SearchParams::top_k(1)).unwrap();
+        assert_eq!(r[0].id, 150);
     }
 
     #[test]

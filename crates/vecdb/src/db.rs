@@ -98,10 +98,11 @@ impl VectorDb {
         let data = std::fs::read_to_string(path).map_err(|e| VecDbError::Snapshot {
             cause: e.to_string(),
         })?;
-        let collection: Collection =
+        let mut collection: Collection =
             serde_json::from_str(&data).map_err(|e| VecDbError::Snapshot {
                 cause: e.to_string(),
             })?;
+        collection.rebuild_derived();
         let mut map = self.collections.write();
         if map.contains_key(name) {
             return Err(VecDbError::CollectionExists {

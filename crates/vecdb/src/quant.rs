@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::distance::Distance;
+use crate::distance::{dot_codes, squared_euclid_codes, Distance};
 
 /// Which representation the exact-scan scoring paths read.
 ///
@@ -185,28 +185,10 @@ impl QuantizedVectors {
                 if q_inv == 0.0 || self.inv_norms[i] == 0.0 {
                     return 1.0;
                 }
-                let mut dot = 0.0f32;
-                for (x, &c) in q.iter().zip(codes) {
-                    let y = self.min + self.scale * f32::from(c);
-                    dot += x * y;
-                }
-                1.0 - dot * q_inv * self.inv_norms[i]
+                1.0 - dot_codes(q, codes, self.min, self.scale) * (q_inv * self.inv_norms[i])
             }
-            Distance::Dot => {
-                let mut dot = 0.0f32;
-                for (x, &c) in q.iter().zip(codes) {
-                    dot += x * (self.min + self.scale * f32::from(c));
-                }
-                -dot
-            }
-            Distance::Euclid => {
-                let mut s = 0.0f32;
-                for (x, &c) in q.iter().zip(codes) {
-                    let d = x - (self.min + self.scale * f32::from(c));
-                    s += d * d;
-                }
-                s
-            }
+            Distance::Dot => -dot_codes(q, codes, self.min, self.scale),
+            Distance::Euclid => squared_euclid_codes(q, codes, self.min, self.scale),
         }
     }
 

@@ -160,11 +160,13 @@ fn quantized_tier_activates_and_reports_memory() {
     );
     assert!(fp.resident_bytes() < fp.total_bytes());
 
-    // Auto below threshold: no quantized store, resident == total.
+    // Auto below threshold: no quantized store, so resident is
+    // everything but the graph.
     let small = build(200, ScoringTier::Auto);
     let fp = small.memory_footprint();
     assert_eq!(fp.quant_bytes, 0);
-    assert_eq!(fp.resident_bytes(), fp.total_bytes());
+    assert!(fp.graph_bytes > 0);
+    assert_eq!(fp.resident_bytes() + fp.graph_bytes, fp.total_bytes());
 }
 
 #[test]

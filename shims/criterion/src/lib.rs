@@ -49,6 +49,18 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// Most iterations one timing round runs.
+const MAX_ITERS: u64 = 1 << 24;
+
+/// Iteration count of the next timing round: aim straight for the
+/// window based on what the last round saw, at least doubling and at
+/// most [`MAX_ITERS`].
+fn next_iters(iters: u64, elapsed: Duration, window: Duration) -> u64 {
+    let per_iter = (elapsed.as_nanos() as f64 / iters as f64).max(1.0);
+    let target = window.as_nanos() as f64 / per_iter;
+    (target.ceil() as u64).max(iters * 2).min(MAX_ITERS)
+}
+
 /// Per-iteration timing collector handed to benchmark closures.
 pub struct Bencher {
     mean_ns: f64,
@@ -67,14 +79,11 @@ impl Bencher {
                 black_box(f());
             }
             let elapsed = start.elapsed();
-            if elapsed >= self.measure_window || iters >= 1 << 24 {
+            if elapsed >= self.measure_window || iters >= MAX_ITERS {
                 self.mean_ns = elapsed.as_nanos() as f64 / iters as f64;
                 return;
             }
-            // Aim straight for the window based on what we just saw.
-            let per_iter = (elapsed.as_nanos() as f64 / iters as f64).max(1.0);
-            let target = self.measure_window.as_nanos() as f64 / per_iter;
-            iters = (target.ceil() as u64).clamp(iters * 2, 1 << 24);
+            iters = next_iters(iters, elapsed, self.measure_window);
         }
     }
 
@@ -227,5 +236,17 @@ mod tests {
         });
         group.finish();
         assert!(count > 0);
+    }
+
+    #[test]
+    fn iteration_count_is_capped_above_half_the_cap() {
+        // Doubling 2^23 + 1 overshoots the cap; the step must clamp to
+        // it instead of panicking on an inverted range.
+        let iters = (1 << 23) + 1;
+        let fast = next_iters(iters, Duration::from_nanos(1), Duration::from_millis(5));
+        assert_eq!(fast, MAX_ITERS);
+        // Below the cap the step at least doubles.
+        let slow = next_iters(1, Duration::from_millis(4), Duration::from_millis(5));
+        assert_eq!(slow, 2);
     }
 }
